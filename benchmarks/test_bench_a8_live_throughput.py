@@ -1,8 +1,9 @@
 """Ablation A8 — live network runtime vs message-level sim driver.
 
 The live runtime (``repro.live``) puts the reconciliation protocols on
-real frame transports.  By the byte-parity guarantee the traffic is
-identical to the sim's message-level driver — so the question this
+real frame transports: one protocol object, run by the live driver
+(:func:`~repro.live.protocol.run_session`) or the sim driver.  By the
+byte-parity guarantee the traffic is identical — so the question this
 ablation answers is *what the asyncio/framing machinery costs*:
 blocks/sec of end-to-end delivery and bytes per delivered block, over
 :class:`~repro.live.transport.LoopbackTransport` (live) vs
@@ -17,7 +18,7 @@ import asyncio
 import time
 
 from repro.live.antientropy import serve_connection
-from repro.live.protocol import LiveBloom, LiveFrontier
+from repro.live.protocol import run_session
 from repro.live.transport import LoopbackTransport
 from repro.reconcile import BloomProtocol, FrontierProtocol
 from repro.reconcile.engine import drive_to_completion
@@ -26,8 +27,7 @@ from benchmarks.bench_util import Table, make_fleet
 
 DIVERGENCES = (4, 16, 64)
 
-SIM_PROTOCOLS = {"frontier": FrontierProtocol, "bloom": BloomProtocol}
-LIVE_PROTOCOLS = {"frontier": LiveFrontier, "bloom": LiveBloom}
+PROTOCOLS = {"frontier": FrontierProtocol, "bloom": BloomProtocol}
 
 
 def _pair(divergence: int, seed: int):
@@ -44,7 +44,7 @@ def _pair(divergence: int, seed: int):
 
 def _run_sim(protocol_name: str, divergence: int):
     left, right = _pair(divergence, seed=divergence)
-    protocol = SIM_PROTOCOLS[protocol_name]()
+    protocol = PROTOCOLS[protocol_name]()
     start = time.perf_counter()
     stats = drive_to_completion(protocol, left, right)
     wall_s = time.perf_counter() - start
@@ -55,12 +55,12 @@ def _run_sim(protocol_name: str, divergence: int):
 
 def _run_live(protocol_name: str, divergence: int):
     left, right = _pair(divergence, seed=divergence)
-    protocol = LIVE_PROTOCOLS[protocol_name]()
+    protocol = PROTOCOLS[protocol_name]()
 
     async def scenario():
         init_end, resp_end = LoopbackTransport.pair()
         server = asyncio.ensure_future(serve_connection(right, resp_end))
-        stats = await protocol.run(left, init_end)
+        stats = await run_session(protocol, left, init_end)
         await init_end.close()
         await server
         return stats

@@ -5,7 +5,8 @@ wire: every message of a message-level reconciliation session is offered
 to :meth:`on_message`, which draws — from the injector's **own**
 ``random.Random`` stream, never the link model's — whether the message
 is dropped, duplicated, reordered (extra delay), or byte-corrupted.
-Corruption is applied to the message's canonical wire encoding and then
+Corruption is applied to the message's canonical wire encoding (the
+one :mod:`repro.reconcile.messages` codec the live transport sends) and then
 classified exactly the way a real receiver would experience it:
 
 * if the corrupted frame no longer decodes, it surfaces as a
@@ -42,6 +43,7 @@ from repro import wire
 from repro.chain.block import Block
 from repro.chain.errors import ChainError, MalformedBlockError
 from repro.faults.plan import FaultPlan
+from repro.reconcile import messages
 
 DROP = "drop"
 DUPLICATE = "duplicate"
@@ -222,8 +224,8 @@ class FaultInjector:
         one bucket per corrupted frame (see module docstring).
         """
         self.counters.corrupted += 1
-        frame = wire.encode(step.message)
-        corrupted = self._flip_bytes(frame)
+        plain = messages.to_wire(step.message)
+        corrupted = self._flip_bytes(wire.encode(plain))
         try:
             decoded = wire.decode(corrupted)
         except wire.DecodeError:
@@ -233,7 +235,7 @@ class FaultInjector:
         # to distinct values, so `decoded` necessarily differs from the
         # sent message and the session layer detects the desync.
         self.counters.validation_rejects += 1
-        for block_wire in self._changed_blocks(decoded, step.message):
+        for block_wire in self._changed_blocks(decoded, plain):
             try:
                 block = Block.from_wire(block_wire)
             except MalformedBlockError:

@@ -9,10 +9,11 @@ sockets without changing a byte of what they say:
   real asyncio stream (:class:`StreamTransport`) and a deterministic
   in-process pair (:class:`LoopbackTransport`) that carries identical
   frames, for tests and benchmarks;
-* :mod:`repro.live.protocol` — the initiator/responder split of the
-  frontier and Bloom reconciliation protocols, written so the frame
-  payloads match the message-level generators byte for byte (the
-  parity tests hold them to it);
+* :mod:`repro.live.protocol` — the live driver: :func:`run_session`
+  carries any :mod:`repro.reconcile` protocol's initiator messages as
+  frames, and :class:`LiveResponder` puts the shared responder behind a
+  connection, so the frame payloads equal the sim driver's messages
+  byte for byte (the parity tests hold them to it);
 * :mod:`repro.live.peers` — static peer lists, concurrent dial/accept,
   exponential backoff with jitter, handshake and half-open timeouts;
 * :mod:`repro.live.antientropy` — the periodic gossip loop with
@@ -36,15 +37,7 @@ from repro.live.peers import (
     PeerSpec,
     handshake,
 )
-from repro.live.protocol import (
-    LIVE_PROTOCOLS,
-    LiveBloom,
-    LiveFrontier,
-    LiveProtocolError,
-    LiveResponder,
-    LiveSessionError,
-    make_protocol,
-)
+from repro.live.protocol import LiveResponder, LiveSessionError, run_session
 from repro.live.transport import (
     FrameTransport,
     LoopbackTransport,
@@ -58,12 +51,8 @@ __all__ = [
     "Backoff",
     "FrameTransport",
     "HandshakeError",
-    "LIVE_PROTOCOLS",
-    "LiveBloom",
-    "LiveFrontier",
     "ListenError",
     "LiveNode",
-    "LiveProtocolError",
     "LiveResponder",
     "LiveSessionError",
     "LoopbackTransport",
@@ -73,6 +62,6 @@ __all__ = [
     "TransportClosed",
     "TransportError",
     "handshake",
-    "make_protocol",
+    "run_session",
     "serve_connection",
 ]

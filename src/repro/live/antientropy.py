@@ -2,19 +2,22 @@
 
 One :class:`AntiEntropyLoop` per node plays the paper's §IV-G gossip
 role on real sockets: every interval (with jitter) it picks a random
-connected outbound peer and runs one initiator session
-(:class:`~repro.live.protocol.LiveFrontier` or
-:class:`~repro.live.protocol.LiveBloom`) under a per-session deadline.
-A session that times out, hits a transport error, or receives garbage
-is *interrupted*: its partial byte totals are kept, a
-``session.interrupted`` trace event is emitted, and the connection is
-closed so the peer manager's backoff can rebuild it.  Interruption
-never corrupts the replica — blocks only enter the DAG through
-parent-closed :func:`~repro.reconcile.session.merge_blocks` batches.
+connected outbound peer and runs one initiator session of any protocol
+in :data:`~repro.reconcile.PROTOCOLS_BY_NAME` through the live driver
+(:func:`~repro.live.protocol.run_session`) under a per-session deadline.
+A session that times out, hits a transport error, receives garbage, or
+would send a frame over the size limit is *interrupted*: its partial
+byte totals are kept, a ``session.interrupted`` trace event is emitted
+with the reason, and the connection is closed so the peer manager's
+backoff can rebuild it.  Interruption never corrupts the replica —
+blocks only enter the DAG through parent-closed
+:func:`~repro.reconcile.session.merge_blocks` batches.
 
 The responder half, :func:`serve_connection`, answers one connection's
-requests until it closes, feeding every merged push batch to the
-persistence sink.
+requests with the shared responder until it closes, feeding every merged
+push batch to the persistence sink.  Every way serving can fail ends the
+same way: a best-effort ``error`` frame, a closed transport, and a
+returned reason.
 """
 
 from __future__ import annotations
@@ -25,15 +28,12 @@ from typing import Callable, Optional
 
 from repro import wire
 from repro.core.node import VegvisirNode
-from repro.live.protocol import (
-    BlockSink,
-    LiveProtocolError,
-    LiveResponder,
-    LiveSessionError,
-    make_protocol,
-)
-from repro.live.transport import TransportClosed, TransportError
-from repro.obs.profiling import PHASE_CODEC, PHASE_SESSION, maybe_phase
+from repro.live.protocol import LiveResponder, LiveSessionError, run_session
+from repro.live.transport import TransportClosed, TransportError, within
+from repro.obs.profiling import PHASE_SESSION, maybe_phase
+from repro.reconcile import protocol_class
+from repro.reconcile.messages import ReconcileError, encode
+from repro.reconcile.session import BlockSink
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
@@ -48,45 +48,51 @@ DEFAULT_SESSION_TIMEOUT = 30.0
 async def serve_connection(node: VegvisirNode, transport,
                            on_blocks: Optional[BlockSink] = None,
                            after_message: Optional[Callable[[], None]] = None,
-                           profiler=None) -> None:
+                           profiler=None) -> Optional[str]:
     """Serve reconciliation requests on one connection until it drops.
 
-    Malformed traffic gets one ``error`` frame (best effort) and the
-    connection is closed; the stream cannot be trusted past the first
-    bad frame.  *after_message* runs after each handled message — the
-    hook LiveNode uses to persist blocks a push batch merged.
+    Returns ``None`` when the peer closed the connection, or the reason
+    serving was torn down: ``undecodable`` request bytes, a request the
+    responder refuses (``protocol``), a reply over the frame limit
+    (``frame_too_large``), or a transport failure (``disconnect``).  A
+    torn-down connection gets one ``error`` frame (best effort) and is
+    closed; the stream cannot be trusted past the first bad frame.
+    *after_message* runs after each handled message — the hook LiveNode
+    uses to persist blocks a push batch merged.
     """
-    responder = LiveResponder(node, on_blocks=on_blocks,
-                              profiler=profiler)
+    responder = LiveResponder(node, on_blocks=on_blocks, profiler=profiler)
     while True:
         try:
             payload = await transport.recv()
         except TransportClosed:
-            return
+            return None
+        except TransportError as exc:
+            return await _teardown(transport, "disconnect", exc)
         try:
-            with maybe_phase(profiler, PHASE_CODEC) as ph:
-                message = wire.decode(payload)
-                ph.units += len(payload)
-            reply = responder.handle(message)
-        except (wire.DecodeError, LiveProtocolError) as exc:
-            try:
-                await transport.send(
-                    wire.encode({"type": "error", "reason": str(exc)})
-                )
-            except TransportError:
-                pass
-            await transport.close()
-            return
+            reply = responder.reply_to(payload)
+        except wire.DecodeError as exc:
+            return await _teardown(transport, "undecodable", exc)
+        except ReconcileError as exc:
+            return await _teardown(transport, "protocol", exc)
         if reply is not None:
-            with maybe_phase(profiler, PHASE_CODEC) as ph:
-                reply_payload = wire.encode(reply)
-                ph.units += len(reply_payload)
             try:
-                await transport.send(reply_payload)
-            except TransportClosed:
-                return
+                await transport.send(reply)
+            except wire.FrameError as exc:
+                return await _teardown(transport, "frame_too_large", exc)
+            except TransportError as exc:
+                return await _teardown(transport, "disconnect", exc)
         if after_message is not None:
             after_message()
+
+
+async def _teardown(transport, reason: str, exc: Exception) -> str:
+    """Best-effort ``error`` frame, then close; returns *reason*."""
+    try:
+        await transport.send(encode({"type": "error", "reason": str(exc)}))
+    except (TransportError, wire.FrameError):
+        pass
+    await transport.close()
+    return reason
 
 
 class AntiEntropyLoop:
@@ -111,9 +117,9 @@ class AntiEntropyLoop:
     ):
         self._node = node
         self._peers = peer_manager
-        self._protocol_name = protocol
+        self._protocol_class = protocol_class(protocol)
         self._protocol_kwargs = dict(protocol_kwargs or {})
-        make_protocol(protocol, **self._protocol_kwargs)  # validate early
+        self._protocol_class(**self._protocol_kwargs)  # validate early
         self._interval = interval_s
         self._jitter = jitter_s
         self._session_timeout = session_timeout_s
@@ -194,9 +200,7 @@ class AntiEntropyLoop:
         transport = self._peers.connection(peer_name)
         if transport is None:
             return None
-        protocol = make_protocol(
-            self._protocol_name, **self._protocol_kwargs
-        )
+        protocol = self._protocol_class(**self._protocol_kwargs)
         stats = ReconcileStats(protocol.name)
         seq = self._session_seq
         self._session_seq += 1
@@ -210,21 +214,22 @@ class AntiEntropyLoop:
             on_blocks = self._block_sink_factory(peer_name)
         try:
             with maybe_phase(self._profiler, PHASE_SESSION) as ph:
-                await asyncio.wait_for(
-                    protocol.run(
-                        self._node, transport, stats, on_blocks=on_blocks,
-                        profiler=self._profiler,
+                await within(
+                    run_session(
+                        protocol, self._node, transport, stats,
+                        on_blocks=on_blocks, profiler=self._profiler,
                     ),
                     self._session_timeout,
                 )
                 ph.units += 1
-        except (TransportError, LiveSessionError,
+        except (TransportError, LiveSessionError, wire.FrameError,
                 asyncio.TimeoutError) as exc:
             stats.interrupted = True
             self.sessions_interrupted += 1
             reason = (
                 "timeout" if isinstance(exc, asyncio.TimeoutError)
                 else "disconnect" if isinstance(exc, TransportError)
+                else "frame_too_large" if isinstance(exc, wire.FrameError)
                 else "protocol"
             )
             self._observe(peer_name, stats, seq, outcome="interrupted",

@@ -162,8 +162,14 @@ class LiveNode:
                 "live_blocks_persisted_total",
                 "blocks durably appended to the node's store",
             )
+            self._c_teardowns = self._obs.registry.counter(
+                "live_serve_teardowns_total",
+                "served connections torn down, by reason",
+                labels=("reason",),
+            )
         else:
             self._c_persisted = None
+            self._c_teardowns = None
 
     # -- persistence ---------------------------------------------------
 
@@ -270,12 +276,14 @@ class LiveNode:
         def persist_push(_blocks=None) -> None:
             self._persist_blocks(_blocks, origin=f"push:{peer_name}")
 
-        await serve_connection(
+        reason = await serve_connection(
             self.node, transport,
             on_blocks=persist_push,
             after_message=persist_push,
             profiler=self.profiler,
         )
+        if reason is not None and self._c_teardowns is not None:
+            self._c_teardowns.labels(reason=reason).inc()
 
     def add_peer(self, spec: PeerSpec) -> None:
         self.peer_manager.add_peer(spec)

@@ -37,6 +37,7 @@ from repro.live.transport import (
     StreamTransport,
     TransportClosed,
     TransportError,
+    within,
 )
 
 HELLO_TYPE = "live_hello"
@@ -133,7 +134,7 @@ async def handshake(transport, node: VegvisirNode, name: str,
     """
     await transport.send(wire.encode(_hello_message(node, name)))
     try:
-        payload = await asyncio.wait_for(transport.recv(), timeout_s)
+        payload = await within(transport.recv(), timeout_s)
     except asyncio.TimeoutError:
         raise HandshakeError(
             f"peer sent no hello within {timeout_s}s"
@@ -403,7 +404,7 @@ class PeerManager:
 
     async def _dial_once(self, spec: PeerSpec) -> Optional[StreamTransport]:
         try:
-            reader, writer = await asyncio.wait_for(
+            reader, writer = await within(
                 asyncio.open_connection(spec.host, spec.port),
                 self._dial_timeout,
             )

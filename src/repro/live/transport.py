@@ -45,6 +45,26 @@ class TransportClosed(TransportError):
     """The peer closed the connection (or we did)."""
 
 
+async def within(awaitable, timeout_s: float):
+    """Await *awaitable* for at most *timeout_s* seconds.
+
+    Like :func:`asyncio.wait_for` (raises :class:`asyncio.TimeoutError`
+    and cancels the work on expiry), except that a cancellation of the
+    caller always propagates: before Python 3.12, ``wait_for`` returns
+    the result instead when the work finishes in the step the cancel
+    lands, and a task stopped that way keeps running.
+    """
+    task = asyncio.ensure_future(awaitable)
+    try:
+        done, _ = await asyncio.wait((task,), timeout=timeout_s)
+    finally:
+        task.cancel()  # no-op once done
+    if not done:
+        await asyncio.wait((task,))  # let the cancelled work unwind
+        raise asyncio.TimeoutError
+    return task.result()
+
+
 class FrameTransport:
     """Common bookkeeping for frame transports."""
 

@@ -11,7 +11,9 @@ reverse difference.
 
 The filter is sized for a configurable false-positive rate, so the
 bandwidth trade-off — filter bytes up front versus resent blocks — is
-directly measurable in experiment E5.
+directly measurable in experiment E5.  The shared
+:class:`~repro.reconcile.responder.Responder` answers the ``bloom`` and
+``get_blocks`` requests.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ from __future__ import annotations
 import hashlib
 import math
 
-from repro.core.node import VegvisirNode
-from repro.reconcile.engine import drive_to_completion
-from repro.reconcile.session import merge_blocks, push_steps
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
-)
+from repro.reconcile.engine import Protocol
+from repro.reconcile.messages import expect, hashes
+from repro.reconcile.session import Local
+
+
+#: Most hash functions accepted off the wire; :meth:`BloomFilter.
+#: for_capacity` needs about 7 for a 1 % false-positive rate.
+MAX_WIRE_HASHES = 64
 
 
 class BloomFilter:
@@ -84,8 +86,21 @@ class BloomFilter:
 
     @classmethod
     def from_wire(cls, value: dict) -> "BloomFilter":
-        instance = cls(value["bit_count"], value["hash_count"])
-        instance._bits = bytearray(value["bits"])
+        """Rebuild a peer's filter, refusing one whose bits do not match
+        its bit count (a probe would index past them) or whose hash
+        count would make every probe arbitrarily expensive."""
+        bits, bit_count = value["bits"], value["bit_count"]
+        hash_count = value["hash_count"]
+        if (
+            not isinstance(bits, bytes)
+            or not isinstance(bit_count, int)
+            or len(bits) != (bit_count + 7) // 8
+        ):
+            raise ValueError("Bloom filter bits do not match its bit count")
+        if not isinstance(hash_count, int) or hash_count > MAX_WIRE_HASHES:
+            raise ValueError(f"Bloom filter hash count {hash_count!r}")
+        instance = cls(bit_count, hash_count)
+        instance._bits = bytearray(bits)
         return instance
 
     @property
@@ -93,7 +108,7 @@ class BloomFilter:
         return len(self._bits)
 
 
-class BloomProtocol:
+class BloomProtocol(Protocol):
     """Bloom-digest pull with explicit repair fetches, then push."""
 
     name = "bloom"
@@ -102,43 +117,18 @@ class BloomProtocol:
         self._fp_rate = false_positive_rate
         self._push = push
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
-        responder_frontier = sorted(responder.frontier())
-
+    def initiate(self, local: Local):
+        node, stats = local.node, local.stats
         # Round 1: send the filter, receive probably-missing blocks plus
         # the responder's frontier (to detect convergence exactly).
         stats.rounds += 1
-        digest = BloomFilter.for_capacity(len(initiator.dag), self._fp_rate)
-        for block_hash in initiator.dag.hashes():
+        digest = BloomFilter.for_capacity(len(node.dag), self._fp_rate)
+        for block_hash in node.dag.hashes():
             digest.add(block_hash.digest)
-        yield (
-            INITIATOR_TO_RESPONDER,
-            {"type": "bloom", "filter": digest.to_wire()},
-        )
-        probably_missing = [
-            block for block in responder.dag.blocks()
-            if block.hash.digest not in digest
-        ]
-        yield (
-            RESPONDER_TO_INITIATOR,
-            {
-                "type": "bloom_blocks",
-                "blocks": [b.to_wire() for b in probably_missing],
-                "frontier": [h.digest for h in responder_frontier],
-            },
-        )
-        merged = merge_blocks(initiator, probably_missing)
-        stats.blocks_pulled += len(merged.added)
-        stats.duplicate_blocks += merged.duplicates
-        stats.invalid_blocks += merged.invalid
+        reply = yield {"type": "bloom", "filter": digest.to_wire()}
+        expect(reply, "bloom_blocks")
+        responder_frontier = hashes(reply["frontier"])
+        merged = local.merge(reply["blocks"])
 
         # Repair rounds: fetch false-positive-skipped blocks by hash —
         # both missing parents of received blocks and responder frontier
@@ -148,45 +138,27 @@ class BloomProtocol:
         def _missing_now(merge_result):
             needed = set(merge_result.missing_parents)
             needed.update(
-                h for h in responder_frontier if not initiator.has_block(h)
+                h for h in responder_frontier if not node.has_block(h)
             )
             return sorted(needed)
 
         missing = _missing_now(merged)
         while missing:
             stats.rounds += 1
-            yield (
-                INITIATOR_TO_RESPONDER,
-                {
-                    "type": "get_blocks",
-                    "hashes": [h.digest for h in missing],
-                },
-            )
-            fetched = [
-                responder.dag.get(h)
-                for h in missing
-                if responder.has_block(h)
-            ]
-            yield (
-                RESPONDER_TO_INITIATOR,
-                {"type": "blocks", "blocks": [b.to_wire() for b in fetched]},
-            )
+            reply = yield {
+                "type": "get_blocks",
+                "hashes": [h.digest for h in missing],
+            }
+            fetched = expect(reply, "blocks")["blocks"]
             if not fetched:
                 break
             # Every repair fetch exists because the filter claimed the
             # initiator already held the block — a false positive.
             stats.fp_resend += len(fetched)
-            merged = merge_blocks(initiator, fetched + pending)
-            stats.blocks_pulled += len(merged.added)
-            stats.duplicate_blocks += merged.duplicates
-            stats.invalid_blocks += merged.invalid
+            merged = local.merge(fetched + pending)
             pending = merged.unplaced
             missing = _missing_now(merged)
 
-        stats.converged = all(
-            initiator.has_block(h) for h in responder_frontier
-        )
+        stats.converged = local.holds(responder_frontier)
         if stats.converged and self._push:
-            yield from push_steps(
-                initiator, responder, responder_frontier, stats
-            )
+            yield from local.push(local.lacking(responder_frontier))

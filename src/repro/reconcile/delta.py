@@ -38,16 +38,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.core.node import VegvisirNode
 from repro.crdt.base import CRDTError
 from repro.crdt.schema import check_type
-from repro.reconcile.engine import drive_to_completion
+from repro.reconcile.engine import Protocol
 from repro.reconcile.frontier import FrontierProtocol
-from repro.reconcile.stats import (
-    INITIATOR_TO_RESPONDER,
-    RESPONDER_TO_INITIATOR,
-    ReconcileStats,
-)
+from repro.reconcile.messages import expect
+from repro.reconcile.session import Local
 
 
 class DeltaStore:
@@ -558,8 +554,8 @@ def join_delta_push(node, payload) -> tuple[int, int]:
 
 
 def count_entries(payload) -> int:
-    """Lattice entries in a push payload (what the live initiator charges
-    to ``delta_entries_pushed``; an honest responder applies them all)."""
+    """Lattice entries in a push payload (what the initiator charges to
+    ``delta_entries_pushed``; an honest responder applies them all)."""
     total = 0
     for _name, type_name, delta in payload:
         total += CODECS[type_name].size(delta)
@@ -583,7 +579,7 @@ def delta_view_value(node, name: str):
     return codec.value(view)
 
 
-class DeltaProtocol:
+class DeltaProtocol(Protocol):
     """Delta-state CRDT sync, durable (block plane chained) by default.
 
     ``durable=False`` runs the state plane alone: CSM deltas cross the
@@ -599,42 +595,24 @@ class DeltaProtocol:
         self._push = push
         self._durable = durable
 
-    def run(self, initiator: VegvisirNode,
-            responder: VegvisirNode) -> ReconcileStats:
-        return drive_to_completion(self, initiator, responder)
-
-    def session(self, initiator: VegvisirNode, responder: VegvisirNode,
-                stats: ReconcileStats):
-        """Yield the session's wire messages one at a time."""
-        if initiator.chain_id != responder.chain_id:
-            return
+    def initiate(self, local: Local):
+        node, stats = local.node, local.stats
         stats.rounds += 1
-        summaries = delta_summaries(initiator)
-        yield (
-            INITIATOR_TO_RESPONDER,
-            {"type": "delta_summary", "crdts": summaries},
-        )
-        reply = delta_reply(responder, summaries)
-        yield (
-            RESPONDER_TO_INITIATOR,
-            {"type": "delta_state", "crdts": reply},
-        )
-        applied, invalid = join_delta_reply(initiator, reply)
+        reply = yield {
+            "type": "delta_summary", "crdts": delta_summaries(node),
+        }
+        crdts = expect(reply, "delta_state")["crdts"]
+        applied, invalid = join_delta_reply(node, crdts)
         stats.delta_entries_pulled += applied
         stats.delta_entries_invalid += invalid
         if self._push:
-            payload = delta_push_payload(initiator, reply)
+            payload = delta_push_payload(node, crdts)
             if payload:
-                yield (
-                    INITIATOR_TO_RESPONDER,
-                    {"type": "delta_push", "crdts": payload},
-                )
-                pushed, push_invalid = join_delta_push(responder, payload)
-                stats.delta_entries_pushed += pushed
-                stats.delta_entries_invalid += push_invalid
+                yield {"type": "delta_push", "crdts": payload}
+                stats.delta_entries_pushed += count_entries(payload)
         if self._durable:
             yield from FrontierProtocol(
                 hash_first=True, push=self._push
-            ).session(initiator, responder, stats)
+            ).initiate(local)
         else:
             stats.converged = True

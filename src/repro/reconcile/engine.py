@@ -1,22 +1,28 @@
-"""Resumable reconciliation sessions.
+"""The sim driver: one session between two in-process replicas.
 
-The protocol classes in this package describe a session as a *generator*
-of wire messages: each ``yield (direction, message)`` is one message
-about to cross the radio, and the code between two yields is the
-receiving endpoint's processing of the previous message.  That single
-description serves two execution models:
+Each protocol in this package is written once, as two pieces that each
+touch only their own replica:
 
-* **atomic** — :func:`drive_to_completion` exhausts the generator in one
-  call, exactly reproducing the historical blocking ``protocol.run``
-  behaviour (same messages, same byte accounting, same merges, in the
-  same order);
-* **message** — the gossip scheduler wraps the generator in a
-  :class:`ReconcileSession` and schedules every step as its own event on
-  the simulation loop, charging per-message latency and re-checking
-  connectivity before each delivery.  A session whose pair walks out of
-  radio range is :meth:`~ReconcileSession.abort`-ed between messages;
-  its :class:`~repro.reconcile.stats.ReconcileStats` keep the partial
-  totals charged so far and are flagged ``interrupted``.
+* an **initiator generator** (``protocol.initiate(local)``) that yields
+  one request at a time and is sent the reply (``reply = yield
+  request``; ``None`` after a one-way push);
+* the shared :class:`~repro.reconcile.responder.Responder`, one handler
+  per request type.
+
+Two drivers carry the messages between them.  The live runtime's
+:func:`repro.live.protocol.run_session` sends them as frames over a
+socket.  This module's :class:`ReconcileSession` calls the responder
+in-process, one wire message per :meth:`~ReconcileSession.next_step`, so
+the same session serves two execution models:
+
+* **atomic** — :func:`drive_to_completion` (``protocol.run``) steps the
+  session to its end at one instant;
+* **message** — the gossip scheduler schedules every step as its own
+  event on the simulation loop, charging per-message latency and
+  re-checking connectivity before each delivery.  A session whose pair
+  walks out of radio range is :meth:`~ReconcileSession.abort`-ed between
+  messages; its :class:`~repro.reconcile.stats.ReconcileStats` keep the
+  partial totals charged so far and are flagged ``interrupted``.
 
 Interruption can never corrupt a replica: blocks are only ever inserted
 through :func:`~repro.reconcile.session.merge_blocks`, which adds a
@@ -27,13 +33,30 @@ are simply dropped with the torn session.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 from repro.core.node import VegvisirNode
-from repro.reconcile.stats import INITIATOR_TO_RESPONDER, ReconcileStats
+from repro.reconcile.session import Local
+from repro.reconcile.stats import (
+    INITIATOR_TO_RESPONDER,
+    RESPONDER_TO_INITIATOR,
+    ReconcileStats,
+)
 
-#: One protocol step: the direction and wire message of one transmission.
-Step = Tuple[str, dict]
+
+class Protocol:
+    """Base of the protocol classes: ``initiate`` plus the atomic run."""
+
+    name = "?"
+
+    def initiate(self, local: Local):
+        """Yield the initiator's requests; each ``yield`` returns the
+        reply (``None`` for a one-way message)."""
+        raise NotImplementedError
+
+    def run(self, initiator: VegvisirNode,
+            responder: VegvisirNode) -> ReconcileStats:
+        return drive_to_completion(self, initiator, responder)
 
 
 class SessionStep:
@@ -59,22 +82,28 @@ class ReconcileSession:
     """A suspended reconciliation between two replicas.
 
     Pull wire messages one at a time with :meth:`next_step`; every call
-    delivers the previous message (running the receiving endpoint's
-    processing) and returns the next transmission, or ``None`` once the
-    protocol has finished.  :meth:`abort` tears the session down between
-    messages, keeping the partial byte/block totals in :attr:`stats`.
+    delivers the previous message (the responder answers a request, or
+    the initiator takes a reply) and returns the next transmission, or
+    ``None`` once the protocol has finished.  :meth:`abort` tears the
+    session down between messages, keeping the partial byte/block totals
+    in :attr:`stats`.  Replicas of different chains (different genesis
+    blocks, §IV-G) exchange nothing.
     """
 
     def __init__(self, protocol, initiator: VegvisirNode,
                  responder: VegvisirNode):
+        # Imported here: the responder imports every protocol module,
+        # and those import this one for :class:`Protocol`.
+        from repro.reconcile.responder import Responder
+
         self.protocol = protocol
         self.initiator = initiator
         self.responder = responder
-        self.stats = ReconcileStats(getattr(protocol, "name", "?"))
-        self._steps: Iterator[Step] = protocol.session(
-            initiator, responder, self.stats
-        )
-        self._done = False
+        self.stats = ReconcileStats(protocol.name)
+        self._responder = Responder(responder)
+        self._requests = protocol.initiate(Local(initiator, self.stats))
+        self._last: Optional[SessionStep] = None
+        self._done = initiator.chain_id != responder.chain_id
 
     @property
     def done(self) -> bool:
@@ -95,13 +124,26 @@ class ReconcileSession:
         """
         if self._done:
             return None
+        last = self._last
+        delivered = None
+        if last is not None:
+            if last.from_initiator:
+                reply = self._responder.handle(last.message)
+                if reply is not None:
+                    return self._emit(RESPONDER_TO_INITIATOR, reply)
+            else:
+                delivered = last.message
         try:
-            direction, message = next(self._steps)
+            request = self._requests.send(delivered)
         except StopIteration:
             self._done = True
             return None
+        return self._emit(INITIATOR_TO_RESPONDER, request)
+
+    def _emit(self, direction: str, message: dict) -> SessionStep:
         size = self.stats.record(direction, message)
-        return SessionStep(direction, message, size)
+        self._last = SessionStep(direction, message, size)
+        return self._last
 
     def abort(self) -> None:
         """Tear the session down between messages.
@@ -115,12 +157,12 @@ class ReconcileSession:
             return
         self._done = True
         self.stats.interrupted = True
-        self._steps.close()
+        self._requests.close()
 
 
 def drive_to_completion(protocol, initiator: VegvisirNode,
                         responder: VegvisirNode) -> ReconcileStats:
-    """Run a session generator to exhaustion at one instant.
+    """Run a session to its end at one instant.
 
     This is the atomic execution model: identical message sequence and
     accounting to the message-level model with an ideal (zero-latency,

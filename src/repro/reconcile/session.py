@@ -1,18 +1,19 @@
-"""Shared reconciliation plumbing: merging pulled blocks and pushing the
-responder's missing blocks.
+"""Shared reconciliation plumbing: merging received blocks, and the
+initiator's view of its own half of a session.
 
 ``merge_blocks`` inserts a batch of received blocks in dependency order,
 tolerating duplicates and quarantining blocks whose parents are absent
-(the caller fetches deeper and retries).  ``push_missing_blocks``
-implements the push half of a session: after a successful pull the
-initiator's DAG is a superset of the responder's, so the responder's
-holdings are exactly the ancestry of its frontier and the difference can
-be computed without further negotiation.
+(the caller fetches deeper and retries).  :class:`Local` is what a
+protocol's initiator generator works with: its own replica, the session
+stats, and the merge/push helpers every protocol shares.  After a
+successful pull the initiator's DAG is a superset of the responder's, so
+the responder's holdings are exactly the ancestry of its frontier and
+the push set can be computed without further negotiation.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, List, Optional
 
 from repro.chain.block import Block
 from repro.chain.errors import (
@@ -23,11 +24,12 @@ from repro.chain.errors import (
 )
 from repro.core.node import VegvisirNode
 from repro.crypto.sha import Hash
-from repro.reconcile.stats import INITIATOR_TO_RESPONDER, ReconcileStats
+from repro.obs.profiling import PHASE_VERIFY, maybe_phase
+from repro.reconcile.stats import ReconcileStats
 
-
-class ReconcileError(Exception):
-    """A reconciliation session could not complete."""
+#: Called with each batch of blocks newly merged into the local replica
+#: (the persistence hook: LiveNode appends them to its BlockStore).
+BlockSink = Callable[[List[Block]], None]
 
 
 class MergeResult:
@@ -112,44 +114,54 @@ def responder_holdings(node: VegvisirNode,
     return holdings
 
 
-def push_steps(
-    initiator: VegvisirNode,
-    responder: VegvisirNode,
-    responder_frontier: Sequence[Hash],
-    stats: ReconcileStats,
-):
-    """The push half of a session, as message-generator steps.
+class Local:
+    """The initiator's half of one session.
 
-    Sends the responder every block it lacks in topological order, as a
-    single initiator→responder block-batch message; the responder merges
-    it on delivery.  Assumes the initiator has already pulled, so its
-    DAG is a superset of the responder's holdings.
+    Holds the initiator's replica and the stats the session charges, plus
+    the hooks a driver attaches to merges: *on_blocks* receives every
+    batch newly merged (the live node persists it) and *profiler* times
+    the merges as the ``verify`` phase.
     """
-    responder_has = responder_holdings(initiator, responder_frontier)
-    missing = [
-        block for block in initiator.dag.blocks()
-        if block.hash not in responder_has
-    ]
-    if not missing:
-        return
-    yield (
-        INITIATOR_TO_RESPONDER,
-        {"type": "push_blocks", "blocks": [b.to_wire() for b in missing]},
-    )
-    merged = merge_blocks(responder, missing)
-    stats.blocks_pushed += len(merged.added)
-    stats.duplicate_blocks += merged.duplicates
-    stats.invalid_blocks += merged.invalid
 
+    __slots__ = ("node", "stats", "on_blocks", "profiler")
 
-def push_missing_blocks(
-    initiator: VegvisirNode,
-    responder: VegvisirNode,
-    responder_frontier: Sequence[Hash],
-    stats: ReconcileStats,
-) -> None:
-    """Blocking form of :func:`push_steps` (records and delivers now)."""
-    for direction, message in push_steps(
-        initiator, responder, responder_frontier, stats
-    ):
-        stats.record(direction, message)
+    def __init__(self, node: VegvisirNode, stats: ReconcileStats,
+                 on_blocks: Optional[BlockSink] = None, profiler=None):
+        self.node = node
+        self.stats = stats
+        self.on_blocks = on_blocks
+        self.profiler = profiler
+
+    def holds(self, block_hashes: Iterable[Hash]) -> bool:
+        return all(self.node.has_block(h) for h in block_hashes)
+
+    def merge(self, blocks: List[Block]) -> MergeResult:
+        """Merge pulled blocks, charging the outcome to the stats."""
+        with maybe_phase(self.profiler, PHASE_VERIFY) as ph:
+            merged = merge_blocks(self.node, blocks)
+            ph.units += len(merged.added)
+        stats = self.stats
+        stats.blocks_pulled += len(merged.added)
+        stats.duplicate_blocks += merged.duplicates
+        stats.invalid_blocks += merged.invalid
+        if self.on_blocks is not None and merged.added:
+            self.on_blocks(merged.added)
+        return merged
+
+    def lacking(self, responder_frontier: Iterable[Hash]) -> List[Block]:
+        """Blocks a peer with *responder_frontier* lacks, in topological
+        order (assumes the pull completed, so ours is a superset)."""
+        responder_has = responder_holdings(self.node, responder_frontier)
+        return [
+            block for block in self.node.dag.blocks()
+            if block.hash not in responder_has
+        ]
+
+    def push(self, blocks: List[Block]):
+        """The push half of a session: one one-way block batch (nothing
+        when *blocks* is empty).  ``blocks_pushed`` counts blocks sent;
+        an honest responder merges them all."""
+        if not blocks:
+            return
+        yield {"type": "push_blocks", "blocks": blocks}
+        self.stats.blocks_pushed += len(blocks)

@@ -1,15 +1,16 @@
 """Byte and message accounting for reconciliation sessions.
 
-Messages are wire-encodable dicts; :meth:`ReconcileStats.record` charges
-the exact canonical encoding size to the sending direction, so protocol
-comparisons measure what would really cross the radio.
+:meth:`ReconcileStats.record` charges a message's exact canonical
+encoding size (:func:`repro.reconcile.messages.encode`) to the sending
+direction, so protocol comparisons measure what would really cross the
+radio.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro import wire
+from repro.reconcile.messages import encode as encode_message
 
 INITIATOR_TO_RESPONDER = "i->r"
 RESPONDER_TO_INITIATOR = "r->i"
@@ -87,7 +88,7 @@ class ReconcileStats:
 
     def record(self, direction: str, message: Any) -> int:
         """Charge one message; returns its encoded size in bytes."""
-        return self.record_raw(direction, len(wire.encode(message)))
+        return self.record_raw(direction, len(encode_message(message)))
 
     def record_raw(self, direction: str, size: int) -> int:
         """Charge one already-encoded message of *size* bytes.

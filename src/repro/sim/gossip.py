@@ -405,10 +405,7 @@ class GossipScheduler:
                 responder=responder_id,
                 protocol=getattr(protocol, "name", "?"),
             )
-        if (
-            self._session_model == SESSION_MESSAGE
-            and hasattr(protocol, "session")
-        ):
+        if self._session_model == SESSION_MESSAGE:
             return self._contact_message(initiator_id, responder_id, protocol)
         return self._contact_atomic(initiator_id, responder_id, protocol)
 

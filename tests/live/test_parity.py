@@ -1,11 +1,13 @@
 """Live/sim byte parity: the frames a live session puts on the wire must
 equal the message-level sim driver's wire messages, byte for byte.
 
-Each test builds *two* identical deployments (deterministic keys, fixed
-genesis, lock-step clocks, same append sequence), runs the in-process
-generator on one pair while recording every ``(direction, encoded
-message)``, runs the live split over a loopback transport on the other
-pair while tapping every frame payload, and compares the full ordered
+Each protocol is written once (initiator generator + shared responder)
+and run by two drivers.  Each test builds *two* identical deployments
+(deterministic keys, fixed genesis, lock-step clocks, same append
+sequence), runs one protocol object's session through the sim driver on
+one pair while recording every ``(direction, encoded message)``, runs it
+through the live driver over a loopback transport on the other pair
+while tapping every frame payload, and compares the full ordered
 sequences — plus the resulting stats and replica digests.
 """
 
@@ -13,22 +15,19 @@ import asyncio
 
 import pytest
 
-from repro import wire
 from repro.live.antientropy import serve_connection
-from repro.live.protocol import (
-    LiveBloom,
-    LiveDelta,
-    LiveFrontier,
-    LiveSketch,
-)
+from repro.live.protocol import run_session
 from repro.live.transport import LoopbackTransport
 from repro.reconcile import (
     BloomProtocol,
     DeltaProtocol,
     FrontierProtocol,
+    FullExchangeProtocol,
+    HeightSkipProtocol,
     SketchProtocol,
 )
 from repro.reconcile.engine import ReconcileSession
+from repro.reconcile.messages import encode
 from repro.reconcile.stats import (
     INITIATOR_TO_RESPONDER,
     RESPONDER_TO_INITIATOR,
@@ -60,12 +59,12 @@ def _sim_trace(protocol, initiator, responder):
         step = session.next_step()
         if step is None:
             break
-        trace.append((step.direction, wire.encode(step.message)))
+        trace.append((step.direction, encode(step.message)))
     return trace, session.stats
 
 
 def _live_trace(protocol, initiator, responder):
-    """Run the live split over loopback, tapping every frame payload."""
+    """Run the live driver over loopback, tapping every frame payload."""
     trace = []
 
     def tap(direction, payload):
@@ -82,7 +81,7 @@ def _live_trace(protocol, initiator, responder):
             serve_connection(responder, resp_end)
         )
         stats = ReconcileStats(protocol.name)
-        await protocol.run(initiator, init_end, stats)
+        await run_session(protocol, initiator, init_end, stats)
         await init_end.close()
         await server
         return stats
@@ -99,47 +98,41 @@ SCENARIOS = [
     pytest.param(12, 9, 4, id="deep"),
 ]
 
-PROTOCOL_PAIRS = [
-    pytest.param(FrontierProtocol, LiveFrontier, {}, id="frontier"),
+PROTOCOLS = [
+    pytest.param(FrontierProtocol, {}, id="frontier"),
     pytest.param(
-        FrontierProtocol, LiveFrontier, {"hash_first": True},
-        id="frontier-hash-first",
+        FrontierProtocol, {"hash_first": True}, id="frontier-hash-first",
     ),
-    pytest.param(
-        FrontierProtocol, LiveFrontier, {"push": False},
-        id="frontier-pull-only",
-    ),
-    pytest.param(BloomProtocol, LiveBloom, {}, id="bloom"),
-    pytest.param(
-        BloomProtocol, LiveBloom, {"push": False}, id="bloom-pull-only"
-    ),
-    pytest.param(SketchProtocol, LiveSketch, {}, id="sketch"),
-    pytest.param(
-        SketchProtocol, LiveSketch, {"push": False},
-        id="sketch-pull-only",
-    ),
+    pytest.param(FrontierProtocol, {"push": False}, id="frontier-pull-only"),
+    pytest.param(BloomProtocol, {}, id="bloom"),
+    pytest.param(BloomProtocol, {"push": False}, id="bloom-pull-only"),
+    pytest.param(SketchProtocol, {}, id="sketch"),
+    pytest.param(SketchProtocol, {"push": False}, id="sketch-pull-only"),
     pytest.param(
         # A starved first sketch forces the doubling retry (and, on the
         # deep scenario, the frontier fallback) through the parity check.
-        SketchProtocol, LiveSketch, {"initial_diff": 1, "max_attempts": 2},
+        SketchProtocol, {"initial_diff": 1, "max_attempts": 2},
         id="sketch-undersized",
     ),
-    pytest.param(DeltaProtocol, LiveDelta, {}, id="delta"),
+    pytest.param(DeltaProtocol, {}, id="delta"),
+    pytest.param(DeltaProtocol, {"push": False}, id="delta-pull-only"),
+    pytest.param(DeltaProtocol, {"durable": False}, id="delta-state-only"),
+    pytest.param(FullExchangeProtocol, {}, id="full_exchange"),
     pytest.param(
-        DeltaProtocol, LiveDelta, {"push": False}, id="delta-pull-only"
+        FullExchangeProtocol, {"push": False}, id="full_exchange-pull-only",
     ),
+    pytest.param(HeightSkipProtocol, {}, id="height_skip"),
     pytest.param(
-        DeltaProtocol, LiveDelta, {"durable": False},
-        id="delta-state-only",
+        HeightSkipProtocol, {"push": False}, id="height_skip-pull-only",
     ),
 ]
 
 
-@pytest.mark.parametrize("sim_cls,live_cls,kwargs", PROTOCOL_PAIRS)
+@pytest.mark.parametrize("protocol_cls,kwargs", PROTOCOLS)
 @pytest.mark.parametrize("left_n,right_n,prefix", SCENARIOS)
 class TestByteParity:
     def test_wire_traffic_is_byte_identical(
-        self, sim_cls, live_cls, kwargs, left_n, right_n, prefix
+        self, protocol_cls, kwargs, left_n, right_n, prefix
     ):
         sim_left, sim_right = _apply(Deployment(), left_n, right_n, prefix)
         live_left, live_right = _apply(
@@ -149,11 +142,11 @@ class TestByteParity:
         assert sim_left.state_digest() == live_left.state_digest()
         assert sim_right.state_digest() == live_right.state_digest()
 
-        sim_trace, sim_stats = _sim_trace(
-            sim_cls(**kwargs), sim_left, sim_right
-        )
+        # ...and one protocol object is run by both drivers.
+        protocol = protocol_cls(**kwargs)
+        sim_trace, sim_stats = _sim_trace(protocol, sim_left, sim_right)
         live_trace, live_stats = _live_trace(
-            live_cls(**kwargs), live_left, live_right
+            protocol, live_left, live_right
         )
 
         # ...exchange identical byte sequences...
@@ -178,14 +171,14 @@ class TestLiveSemantics:
 
     def test_session_converges_both_directions(self):
         left, right = _apply(Deployment(), 4, 4)
-        _, stats = _live_trace(LiveFrontier(), left, right)
+        _, stats = _live_trace(FrontierProtocol(), left, right)
         assert stats.converged
         assert left.dag.hashes() == right.dag.hashes()
 
     def test_repeat_session_is_cheap(self):
         left, right = _apply(Deployment(), 4, 2)
-        _live_trace(LiveFrontier(), left, right)
-        _, again = _live_trace(LiveFrontier(), left, right)
+        _live_trace(FrontierProtocol(), left, right)
+        _, again = _live_trace(FrontierProtocol(), left, right)
         assert again.converged
         assert again.blocks_pulled == 0
         assert again.blocks_pushed == 0
@@ -200,10 +193,10 @@ class TestLiveSemantics:
             server = asyncio.ensure_future(
                 serve_connection(right, resp_end)
             )
-            first = await LiveFrontier().run(left, init_end)
+            first = await run_session(FrontierProtocol(), left, init_end)
             left.append_transactions([])
             right.append_transactions([])
-            second = await LiveFrontier().run(left, init_end)
+            second = await run_session(FrontierProtocol(), left, init_end)
             await init_end.close()
             await server
             return first, second
@@ -214,6 +207,6 @@ class TestLiveSemantics:
 
     def test_bloom_converges_over_loopback(self):
         left, right = _apply(Deployment(), 6, 5, shared_prefix=2)
-        _, stats = _live_trace(LiveBloom(), left, right)
+        _, stats = _live_trace(BloomProtocol(), left, right)
         assert stats.converged
         assert left.dag.hashes() == right.dag.hashes()

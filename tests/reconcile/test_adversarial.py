@@ -93,6 +93,16 @@ class TestBloomFilter:
         assert b"element" in restored
         assert b"other" in restored or b"other" not in restored  # total
 
+    @pytest.mark.parametrize("value", [
+        {"bits": b"", "bit_count": 64, "hash_count": 2},
+        {"bits": b"\x00" * 8, "bit_count": 640, "hash_count": 2},
+        {"bits": b"\x00" * 8, "bit_count": 64, "hash_count": 10**9},
+        {"bits": "text", "bit_count": 64, "hash_count": 2},
+    ])
+    def test_inconsistent_wire_filter_rejected(self, value):
+        with pytest.raises(ValueError):
+            BloomFilter.from_wire(value)
+
     def test_degenerate_parameters_rejected(self):
         with pytest.raises(ValueError):
             BloomFilter(4, 1)

@@ -1,11 +1,18 @@
-"""Byte-transport reconciliation tests: the protocol must be complete
-over a pure bytes channel and robust to garbage and hostile replies."""
+"""The responder endpoint at the byte boundary: a session must be complete
+over frames alone, and robust to garbage and hostile peers on either
+end.  Sessions run through the live driver over a loopback transport,
+which frames every payload exactly as a socket would."""
+
+import asyncio
 
 import pytest
 
 from repro import wire
-from repro.reconcile.endpoint import ReconcileEndpoint, RemoteSession
-from repro.reconcile.frontier import FrontierProtocol
+from repro.live.antientropy import serve_connection
+from repro.live.protocol import LiveSessionError, run_session
+from repro.live.transport import LoopbackTransport, TransportClosed
+from repro.reconcile import FrontierProtocol, Responder
+from repro.reconcile.messages import decode, encode
 
 
 def _diverged(deployment, left_appends=3, right_appends=5):
@@ -20,65 +27,86 @@ def _diverged(deployment, left_appends=3, right_appends=5):
     return left, right
 
 
-class TestRemoteSession:
+def _over_frames(initiator, serve, protocol=None):
+    """Run one frontier session from *initiator* against the coroutine
+    ``serve(transport)``; returns (stats, error or None)."""
+    protocol = protocol or FrontierProtocol()
+
+    async def scenario():
+        init_end, resp_end = LoopbackTransport.pair()
+        server = asyncio.ensure_future(serve(resp_end))
+        error = None
+        try:
+            stats = await run_session(protocol, initiator, init_end)
+        except LiveSessionError as exc:
+            stats, error = None, exc
+        await init_end.close()
+        await server
+        return stats, error
+
+    return asyncio.run(scenario())
+
+
+def _honest(node):
+    async def serve(transport):
+        await serve_connection(node, transport)
+    return serve
+
+
+def _replying(answer):
+    """A peer that answers every request frame with ``answer(payload)``."""
+    async def serve(transport):
+        try:
+            while True:
+                payload = await transport.recv()
+                await transport.send(answer(payload))
+        except TransportClosed:
+            pass
+    return serve
+
+
+class TestSessionOverFrames:
     def test_full_sync_over_bytes(self, deployment):
         left, right = _diverged(deployment)
-        endpoint = ReconcileEndpoint(right)
-        stats = RemoteSession(left, endpoint.handle).sync()
+        stats, error = _over_frames(left, _honest(right))
+        assert error is None
         assert stats.converged
         assert left.state_digest() == right.state_digest()
 
     def test_matches_in_memory_protocol_result(self, deployment):
         left_remote, right_remote = _diverged(deployment)
-        RemoteSession(
-            left_remote, ReconcileEndpoint(right_remote).handle
-        ).sync()
+        remote, _ = _over_frames(left_remote, _honest(right_remote))
 
         deployment2 = type(deployment)()
         left_local, right_local = _diverged(deployment2)
-        FrontierProtocol().run(left_local, right_local)
+        local = FrontierProtocol().run(left_local, right_local)
 
-        assert (
-            left_remote.dag.hashes() == right_remote.dag.hashes()
-        )
-        assert (
-            left_local.dag.hashes() == right_local.dag.hashes()
-        )
+        assert left_remote.dag.hashes() == right_remote.dag.hashes()
+        assert left_local.dag.hashes() == right_local.dag.hashes()
+        assert remote.as_dict() == local.as_dict()
 
-    def test_identical_replicas_two_messages_after_hello(self, deployment):
+    def test_identical_replicas_one_round_trip(self, deployment):
         left, right = _diverged(deployment, 0, 0)
-        endpoint = ReconcileEndpoint(right)
-        RemoteSession(left, endpoint.handle).sync()
-        stats = RemoteSession(left, endpoint.handle).sync()
+        _over_frames(left, _honest(right))
+        stats, _ = _over_frames(left, _honest(right))
         assert stats.converged
         assert stats.rounds == 1
+        assert stats.total_messages == 2
         assert stats.blocks_pulled == 0
         assert stats.blocks_pushed == 0
 
-    def test_foreign_chain_refused_at_hello(self, deployment):
-        from repro.core.genesis import create_genesis
-        from repro.core.node import VegvisirNode
-        from repro.crypto.keys import KeyPair
-
-        left = deployment.node(0)
-        stranger = KeyPair.deterministic(600)
-        foreign = VegvisirNode(
-            stranger, create_genesis(stranger), clock=deployment.clock
-        )
-        stats = RemoteSession(left, ReconcileEndpoint(foreign).handle).sync()
-        assert not stats.converged
-        assert stats.blocks_pulled == 0
-
     def test_garbage_transport_terminates_cleanly(self, deployment):
         left, _ = _diverged(deployment)
-        stats = RemoteSession(left, lambda request: b"\xff\xff").sync()
-        assert not stats.converged
+        before = left.state_digest()
+        stats, error = _over_frames(left, _replying(lambda _: b"\xff\xff"))
+        assert isinstance(error, LiveSessionError)
+        assert left.state_digest() == before
 
     def test_error_reply_terminates_cleanly(self, deployment):
         left, _ = _diverged(deployment)
-        error = wire.encode({"type": "error", "reason": "nope"})
-        stats = RemoteSession(left, lambda request: error).sync()
-        assert not stats.converged
+        error_frame = encode({"type": "error", "reason": "nope"})
+        _, error = _over_frames(left, _replying(lambda _: error_frame))
+        assert "nope" in str(error)
 
     def test_lying_responder_cannot_poison(self, deployment):
         """A responder that injects a forged block into its replies
@@ -91,17 +119,26 @@ class TestRemoteSession:
         forged = Block.create(
             stranger, [deployment.genesis.hash], deployment.clock() + 1
         )
-        endpoint = ReconcileEndpoint(right)
+        responder = Responder(right)
 
         def hostile(request: bytes) -> bytes:
-            response = wire.decode(endpoint.handle(request))
-            if response.get("type") == "frontier_set":
-                response["blocks"] = (
-                    [forged.to_wire()] + response["blocks"]
-                )
-            return wire.encode(response)
+            response = responder.handle(decode(request))
+            if response["type"] == "frontier_set":
+                response["blocks"] = [forged] + response["blocks"]
+            return encode(response)
 
-        stats = RemoteSession(left, hostile).sync()
+        async def serve(transport):
+            try:
+                while True:
+                    payload = await transport.recv()
+                    if decode(payload)["type"] == "push_blocks":
+                        continue
+                    await transport.send(hostile(payload))
+            except TransportClosed:
+                pass
+
+        stats, error = _over_frames(left, serve)
+        assert error is None
         assert stats.converged  # honest blocks still make it
         assert not left.has_block(forged.hash)
         assert stats.invalid_blocks >= 1
@@ -121,20 +158,32 @@ class TestEndpointRobustness:
             wire.encode({"type": "get_frontier", "level": 0}),
             wire.encode({"type": "get_blocks", "hashes": [b"short"]}),
             wire.encode({"type": "push_blocks", "blocks": ["bad"]}),
+            wire.encode({"type": "bloom", "filter": {
+                "bits": b"", "bit_count": 64, "hash_count": 2,
+            }}),
         ],
     )
     def test_bad_requests_get_error_replies(self, deployment,
                                             request_bytes):
-        endpoint = ReconcileEndpoint(deployment.node(0))
-        response = wire.decode(endpoint.handle(request_bytes))
+        node = deployment.node(0)
+
+        async def scenario():
+            init_end, resp_end = LoopbackTransport.pair()
+            server = asyncio.ensure_future(serve_connection(node, resp_end))
+            await init_end.send(request_bytes)
+            response = wire.decode(await init_end.recv())
+            return response, await server, init_end.closed
+
+        response, reason, closed = asyncio.run(scenario())
         assert response["type"] == "error"
+        assert reason is not None
+        assert closed
 
     def test_get_blocks_skips_unknown_hashes(self, deployment):
-        endpoint = ReconcileEndpoint(deployment.node(0))
-        request = wire.encode(
+        responder = Responder(deployment.node(0))
+        response = responder.handle(
             {"type": "get_blocks", "hashes": [b"\x00" * 32]}
         )
-        response = wire.decode(endpoint.handle(request))
         assert response == {"type": "blocks", "blocks": []}
 
     def test_push_blocks_reports_invalid(self, deployment):
@@ -142,69 +191,16 @@ class TestEndpointRobustness:
         from repro.crypto.keys import KeyPair
 
         node = deployment.node(0)
-        endpoint = ReconcileEndpoint(node)
+        before = node.state_digest()
+        merged = []
+        responder = Responder(node, on_blocks=merged.extend)
         stranger = KeyPair.deterministic(602)
         forged = Block.create(
             stranger, [deployment.genesis.hash], deployment.clock() + 1
         )
-        response = wire.decode(endpoint.handle(wire.encode(
-            {"type": "push_blocks", "blocks": [forged.to_wire()]}
-        )))
-        assert response["type"] == "push_ack"
-        assert response["added"] == 0
-        assert response["invalid"] == 1
-
-
-class TestFramedEndpoint:
-    """The endpoint behind the shared stream framing (what TCP carries)."""
-
-    def _framed(self, deployment):
-        from repro.reconcile.endpoint import FramedEndpoint
-
-        left, right = _diverged(deployment)
-        return left, right, FramedEndpoint(ReconcileEndpoint(right))
-
-    def test_full_sync_through_frames(self, deployment):
-        from repro.wire.framing import decode_frames, encode_frame
-
-        left, right, framed = self._framed(deployment)
-
-        def transport(request: bytes) -> bytes:
-            replies = decode_frames(framed.feed(encode_frame(request)))
-            assert len(replies) == 1
-            return replies[0]
-
-        stats = RemoteSession(left, transport).sync()
-        assert stats.converged
-        assert left.state_digest() == right.state_digest()
-
-    def test_split_request_is_reassembled(self, deployment):
-        from repro.wire.framing import decode_frames, encode_frame
-
-        _, right, framed = self._framed(deployment)
-        request = encode_frame(
-            wire.encode({"type": "hello", "chain": right.chain_id.digest})
-        )
-        assert framed.feed(request[:3]) == b""
-        assert framed.buffered == 3
-        [reply] = decode_frames(framed.feed(request[3:]))
-        assert wire.decode(reply)["type"] == "hello_ack"
-        assert framed.buffered == 0
-
-    def test_pipelined_requests_get_pipelined_replies(self, deployment):
-        from repro.wire.framing import decode_frames, encode_frame
-
-        _, right, framed = self._framed(deployment)
-        hello = encode_frame(
-            wire.encode({"type": "hello", "chain": right.chain_id.digest})
-        )
-        replies = decode_frames(framed.feed(hello + hello))
-        assert [wire.decode(r)["type"] for r in replies] == [
-            "hello_ack", "hello_ack",
-        ]
-
-    def test_oversize_frame_poisons_the_stream(self, deployment):
-        _, _, framed = self._framed(deployment)
-        announcement = (2**31).to_bytes(4, "big")
-        with pytest.raises(wire.FrameError):
-            framed.feed(announcement)
+        assert responder.handle(
+            {"type": "push_blocks", "blocks": [forged]}
+        ) is None
+        assert merged == []
+        assert not node.has_block(forged.hash)
+        assert node.state_digest() == before

@@ -1,7 +1,26 @@
-"""Protocol variants: hash-first frontier and the byte-transport adapter."""
+"""Protocol variants: hash-first frontier, and sessions over a byte
+transport (the live driver over loopback frames)."""
+
+import asyncio
+import random
+
+from repro.live.antientropy import serve_connection
+from repro.live.protocol import run_session
+from repro.live.transport import LoopbackTransport
+from repro.reconcile import FrontierProtocol
 
 
-from repro.reconcile import ByteTransportProtocol, FrontierProtocol
+def _over_bytes(protocol, initiator, responder):
+    """One session of *protocol* as frames between the two replicas."""
+    async def scenario():
+        init_end, resp_end = LoopbackTransport.pair()
+        server = asyncio.ensure_future(serve_connection(responder, resp_end))
+        stats = await run_session(protocol, initiator, init_end)
+        await init_end.close()
+        await server
+        return stats
+
+    return asyncio.run(scenario())
 
 
 def _diverged(deployment, left_appends, right_appends):
@@ -52,25 +71,34 @@ class TestHashFirstFrontier:
 class TestByteTransportAdapter:
     def test_interchangeable_with_in_memory(self, deployment):
         left, right = _diverged(deployment, 3, 4)
-        stats = ByteTransportProtocol().run(left, right)
+        stats = _over_bytes(FrontierProtocol(), left, right)
         assert stats.converged
         assert left.state_digest() == right.state_digest()
 
     def test_pull_only(self, deployment):
         left, right = _diverged(deployment, 3, 4)
-        stats = ByteTransportProtocol(push=False).run(left, right)
+        stats = _over_bytes(FrontierProtocol(push=False), left, right)
         assert stats.converged
         assert stats.blocks_pushed == 0
         assert right.dag.hashes() < left.dag.hashes()
 
     def test_drives_a_whole_simulation(self):
-        from repro.sim import Scenario, Simulation
+        """Random-pair gossip among four replicas, every session over
+        frames, converges the whole fleet."""
+        from tests.conftest import Deployment
 
-        sim = Simulation(
-            Scenario(node_count=5, duration_ms=15_000,
-                     append_interval_ms=4_000,
-                     protocol_factory=ByteTransportProtocol, seed=31)
-        ).run()
-        sim.run_quiescence(15_000)
-        assert sim.converged()
-        assert sim.metrics.session_bytes > 0
+        deployment = Deployment()
+        nodes = [deployment.node(i) for i in range(4)]
+        rng = random.Random(31)
+        session_bytes = 0
+        for round_number in range(40):
+            if round_number % 8 == 0:
+                nodes[rng.randrange(4)].append_transactions([])
+            initiator, responder = rng.sample(nodes, 2)
+            stats = _over_bytes(FrontierProtocol(), initiator, responder)
+            session_bytes += stats.total_bytes
+        # Two star passes through node 0 finish what gossip left.
+        for node in nodes[1:] + nodes[1:]:
+            _over_bytes(FrontierProtocol(), node, nodes[0])
+        assert len({node.state_digest() for node in nodes}) == 1
+        assert session_bytes > 0

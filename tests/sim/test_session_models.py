@@ -219,25 +219,3 @@ class TestScenarioKnob:
             ["simulate", "--session-model", "message"]
         )
         assert args.session_model == "message"
-
-    def test_protocol_without_session_falls_back_to_atomic(self):
-        """A protocol lacking a session() generator (e.g. a custom
-        byte-transport adapter) still works under the message model."""
-        class LegacyProtocol:
-            name = "legacy"
-
-            def __init__(self, push=True):
-                pass
-
-            def run(self, initiator, responder):
-                return FrontierProtocol().run(initiator, responder)
-
-        scenario = Scenario(
-            node_count=3, duration_ms=8_000, append_interval_ms=3_000,
-            seed=1, protocol_factory=lambda push: LegacyProtocol(push),
-            session_model="message", link=_ideal_link(),
-        )
-        simulation = Simulation(scenario).run()
-        simulation.run_quiescence(4_000)
-        assert simulation.metrics.sessions_completed > 0
-        assert simulation.converged()
